@@ -61,14 +61,14 @@ pub struct BenchEntry {
     /// large spread flags a number that should not be trusted for
     /// regression comparisons.
     pub spread: f64,
-    /// What the measured code actually did, from the `ftsched_obs`
-    /// stage counters.
+    /// What the measured code actually did, from the entry's own
+    /// `ftsched_obs` recorder.
     pub stages: BenchStages,
 }
 
-/// Stage-counter deltas captured around one benchmark case, answering
-/// *what work the timed loop performed*: kernel builds vs in-place
-/// rescales, simulator volume and cache traffic. The deltas cover every
+/// Stage counters recorded by one benchmark case, answering *what work
+/// the timed loop performed*: kernel builds vs in-place rescales,
+/// simulator volume and cache traffic. The counts cover every
 /// calibration batch plus every measurement batch — `total_iters`
 /// iterations in all — so divide by `total_iters` for per-iteration
 /// rates. Attached to `BENCH_*.json` entries only; the perf contracts
@@ -97,23 +97,23 @@ pub struct BenchStages {
 }
 
 impl BenchStages {
-    /// Builds the breakdown from a [`ftsched_obs::MetricsSnapshot`]
-    /// delta spanning `total_iters` iterations.
-    fn from_delta(total_iters: u64, delta: &ftsched_obs::MetricsSnapshot) -> Self {
+    /// Builds the breakdown from the registry of a run spanning
+    /// `total_iters` iterations.
+    fn recorded(total_iters: u64, run: &ftsched_obs::Registry) -> Self {
         let caches = [
-            &delta.timing.design_cache,
-            &delta.timing.generation_cache,
-            &delta.timing.partition_cache,
+            &run.design_cache,
+            &run.generation_cache,
+            &run.partition_cache,
         ];
         BenchStages {
             total_iters,
-            sweep_builds: delta.timing.sweep_builds,
-            sweep_rescales: delta.timing.sweep_rescales,
-            sim_runs: delta.counters.sim_runs,
-            sim_windows: delta.counters.sim_windows,
-            sim_slices: delta.counters.sim_slices,
-            cache_hits: caches.iter().map(|c| c.hits).sum(),
-            cache_misses: caches.iter().map(|c| c.misses).sum(),
+            sweep_builds: run.sweep_builds.get(),
+            sweep_rescales: run.sweep_rescales.get(),
+            sim_runs: run.counters.sim_runs.get(),
+            sim_windows: run.counters.sim_windows.get(),
+            sim_slices: run.counters.sim_slices.get(),
+            cache_hits: caches.iter().map(|c| c.hits.get()).sum(),
+            cache_misses: caches.iter().map(|c| c.misses.get()).sum(),
         }
     }
 }
@@ -226,16 +226,16 @@ fn time_ns(quick: bool, mut f: impl FnMut()) -> Measurement {
 }
 
 fn entry(entries: &mut Vec<BenchEntry>, name: impl Into<String>, quick: bool, f: impl FnMut()) {
-    let before = ftsched_obs::metrics().snapshot();
+    let recorder = ftsched_obs::Recorder::new();
+    let _run = recorder.install();
     let m = time_ns(quick, f);
-    let delta = ftsched_obs::metrics().snapshot().since(&before);
     entries.push(BenchEntry {
         name: name.into(),
         ns_per_iter: m.ns_per_iter,
         iters: m.iters,
         batches: m.batches,
         spread: m.spread,
-        stages: BenchStages::from_delta(m.total_iters, &delta),
+        stages: BenchStages::recorded(m.total_iters, &recorder),
     });
 }
 

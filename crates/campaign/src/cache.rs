@@ -118,11 +118,8 @@ pub struct MemoCache<K, V> {
     /// Stop inserting beyond this many live entries; `usize::MAX` (the
     /// [`Self::new`] default) means unbounded.
     max_entries: usize,
-    /// Hit/miss counters this cache reports into (see
-    /// [`Self::with_stats`]). These live in the *timing* half of the run
-    /// metrics: racing workers may both miss a fresh key, so the split is
-    /// scheduling-dependent.
-    stats: Option<&'static ftsched_obs::CacheStats>,
+    /// This cache's hit/miss tallies (see [`Self::stats`]).
+    stats: ftsched_obs::CacheStats,
     map: Mutex<HashMap<K, Entry<V>>>,
 }
 
@@ -150,16 +147,17 @@ impl<K: Eq + Hash, V> MemoCache<K, V> {
             enabled,
             uses_per_key,
             max_entries,
-            stats: None,
+            stats: ftsched_obs::CacheStats::default(),
             map: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Routes this cache's hit/miss counts into `stats`. A disabled
-    /// cache reports every request as a miss (it computes every time).
-    pub fn with_stats(mut self, stats: &'static ftsched_obs::CacheStats) -> Self {
-        self.stats = Some(stats);
-        self
+    /// Hit/miss tallies since the cache was created. A disabled cache
+    /// counts every request as a miss (it computes every time). They
+    /// belong in the *timing* half of any metrics: racing workers may
+    /// both miss a fresh key, so the split is scheduling-dependent.
+    pub fn stats(&self) -> &ftsched_obs::CacheStats {
+        &self.stats
     }
 
     /// Whether the cache stores results at all.
@@ -187,20 +185,14 @@ impl<K: Eq + Hash, V> MemoCache<K, V> {
     /// wins.
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
         if !self.enabled {
-            if let Some(stats) = self.stats {
-                stats.misses.incr();
-            }
+            self.stats.misses.incr();
             return Arc::new(compute());
         }
         if let Some(value) = self.take_read(&key) {
-            if let Some(stats) = self.stats {
-                stats.hits.incr();
-            }
+            self.stats.hits.incr();
             return value;
         }
-        if let Some(stats) = self.stats {
-            stats.misses.incr();
-        }
+        self.stats.misses.incr();
         let value = Arc::new(compute());
         let mut map = self.map.lock().expect("cache lock poisoned");
         match map.get(&key) {

@@ -289,9 +289,7 @@ impl<W: Write> ColumnarWriter<W> {
             push_counts(&mut block, &h.counts);
             block.push('\n');
         }
-        self.put(&block)?;
-        ftsched_obs::metrics().columnar_blocks_written.incr();
-        Ok(())
+        self.put(&block)
     }
 
     /// Writes the integrity footer and flushes, returning the underlying
@@ -808,7 +806,6 @@ pub fn read_report_str(text: &str) -> Result<CampaignReport, ColumnarError> {
 /// parse or integrity failures, plus every [`MergeFold`] validation
 /// error (mismatched specs, duplicate shards, trial counts, …).
 pub fn merge_columnar<P: AsRef<Path>>(paths: &[P]) -> Result<CampaignReport, CampaignError> {
-    let obs = ftsched_obs::metrics();
     let mut fold = MergeFold::new();
     for path in paths {
         let path = path.as_ref();
@@ -823,10 +820,7 @@ pub fn merge_columnar<P: AsRef<Path>>(paths: &[P]) -> Result<CampaignReport, Cam
         fold.add_header(reader.spec(), reader.shard())?;
         loop {
             match reader.next_block() {
-                Ok(Some((index, stats))) => {
-                    fold.add_scenario(index, &stats)?;
-                    obs.columnar_blocks_merged.incr();
-                }
+                Ok(Some((index, stats))) => fold.add_scenario(index, &stats)?,
                 Ok(None) => break,
                 Err(e) => {
                     return Err(CampaignError::InvalidMerge(format!(

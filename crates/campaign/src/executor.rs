@@ -159,8 +159,8 @@ pub fn run_campaign_shard(
 
     // Each block folds its contiguous trial range into per-scenario
     // accumulators, reusing the worker's simulation arena. Trial-status
-    // tallies flush into the global run counters once per block, keeping
-    // the hot loop free of shared atomics.
+    // tallies flush into the run's counters once per block, keeping the
+    // hot loop free of shared atomics.
     let run_block = |b: usize, arena: &mut SimArena| -> BlockPartials {
         let lo = shard_lo + b * block_size;
         let hi = (lo + block_size).min(shard_hi);
@@ -203,11 +203,14 @@ pub fn run_campaign_shard(
                 print_progress(&spec.name, finished, shard_trials);
             }
         }
-        ftsched_obs::metrics().record_worker_trials(shard_trials as u64);
+        ftsched_obs::record(|m| m.record_worker_trials(shard_trials as u64));
     } else {
+        // Workers count into the caller's run.
+        let recorder = ftsched_obs::Recorder::current();
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
+                    let _run = recorder.as_ref().map(ftsched_obs::Recorder::install);
                     let mut arena = SimArena::new();
                     let mut worker_trials = 0u64;
                     loop {
@@ -228,11 +231,12 @@ pub fn run_campaign_shard(
                             print_progress(&spec.name, finished, shard_trials);
                         }
                     }
-                    ftsched_obs::metrics().record_worker_trials(worker_trials);
+                    ftsched_obs::record(|m| m.record_worker_trials(worker_trials));
                 });
             }
         });
     }
+    caches.record_stats();
     if let Some(hb) = &heartbeat {
         hb.tick(&spec.name, shard_trials, true);
         eprintln!();
@@ -287,21 +291,23 @@ fn status_slot(status: TrialStatus) -> usize {
     }
 }
 
-/// Flushes one block's trial tallies into the global run counters.
+/// Flushes one block's trial tallies into the run's counters.
 ///
 /// Every trial runs exactly once per campaign (or per shard slice), so
 /// these counts are pure functions of the spec — the deterministic half
 /// of the run metrics, byte-identical at any worker count and additive
 /// across shards.
 fn flush_statuses(trials: u64, statuses: &[u64; 5]) {
-    let m = ftsched_obs::metrics();
-    m.trials_started.add(trials);
-    m.trials_completed.add(trials);
-    m.trials_accepted.add(statuses[0]);
-    m.trials_generation_failed.add(statuses[1]);
-    m.trials_partition_failed.add(statuses[2]);
-    m.trials_design_rejected.add(statuses[3]);
-    m.trials_simulation_failed.add(statuses[4]);
+    ftsched_obs::record(|m| {
+        let c = &m.counters;
+        c.trials_started.add(trials);
+        c.trials_completed.add(trials);
+        c.trials_accepted.add(statuses[0]);
+        c.trials_generation_failed.add(statuses[1]);
+        c.trials_partition_failed.add(statuses[2]);
+        c.trials_design_rejected.add(statuses[3]);
+        c.trials_simulation_failed.add(statuses[4]);
+    });
 }
 
 /// State of the `--progress` heartbeat: a rate-limited stderr line with

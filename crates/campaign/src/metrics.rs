@@ -21,328 +21,12 @@
 //! Campaign reports never embed either half: a report stays a pure
 //! function of its spec, byte for byte, whether or not metrics are
 //! collected.
+//!
+//! The document types are the `ftsched_obs` snapshot types themselves:
+//! the owner of a run installs an [`ftsched_obs::Recorder`] around it,
+//! and [`ftsched_obs::Recorder::metrics`] is the run's document.
 
-use serde::{Deserialize, Serialize};
-
-use ftsched_obs::{CacheSnapshot, HistoSnapshot, MetricsSnapshot};
-
-/// The deterministic half of a run's metrics: pure event counts,
-/// byte-identical across thread counts and additive across shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct RunCounters {
-    /// Trials the executor started.
-    pub trials_started: u64,
-    /// Trials that ran to a status.
-    pub trials_completed: u64,
-    /// Trials accepted by the design (and, where applicable, validation)
-    /// stage.
-    pub trials_accepted: u64,
-    /// Trials whose workload generation failed.
-    pub trials_generation_failed: u64,
-    /// Trials with no valid partition.
-    pub trials_partition_failed: u64,
-    /// Trials whose feasible-period region was empty.
-    pub trials_design_rejected: u64,
-    /// Trials rejected by the simulator (consistency backstop).
-    pub trials_simulation_failed: u64,
-    /// Design-stage lookups (one per paper-workload trial).
-    pub design_cache_requests: u64,
-    /// Generation-stage lookups (one per synthetic trial).
-    pub generation_cache_requests: u64,
-    /// Partition-stage lookups (one per generated task set).
-    pub partition_cache_requests: u64,
-    /// Validation-stage executions (never cached).
-    pub validate_runs: u64,
-    /// Complete simulator runs.
-    pub sim_runs: u64,
-    /// Slot windows walked by the simulator.
-    pub sim_windows: u64,
-    /// Execution slices scheduled.
-    pub sim_slices: u64,
-    /// Jobs released inside simulation horizons.
-    pub sim_jobs_released: u64,
-    /// Jobs completed inside simulation horizons.
-    pub sim_jobs_completed: u64,
-    /// Faults injected across all fault schedules.
-    pub sim_faults_injected: u64,
-    /// Simulator events processed (windows walked, job admissions,
-    /// dispatches, completions).
-    pub sim_events: u64,
-    /// Idle spans the event engine skipped by jumping ≥ 2 windows at
-    /// once.
-    pub sim_idle_spans_jumped: u64,
-    /// Ticks materialised inside fault windows by the fault classifier.
-    pub sim_ticks_materialised: u64,
-}
-
-macro_rules! merge_counters {
-    ($a:expr, $b:expr; $($field:ident),+ $(,)?) => {
-        RunCounters {
-            $($field: $a.$field.saturating_add($b.$field),)+
-        }
-    };
-}
-
-impl RunCounters {
-    /// Copies the deterministic half out of an observation delta.
-    pub fn from_snapshot(snapshot: &MetricsSnapshot) -> Self {
-        let c = &snapshot.counters;
-        RunCounters {
-            trials_started: c.trials_started,
-            trials_completed: c.trials_completed,
-            trials_accepted: c.trials_accepted,
-            trials_generation_failed: c.trials_generation_failed,
-            trials_partition_failed: c.trials_partition_failed,
-            trials_design_rejected: c.trials_design_rejected,
-            trials_simulation_failed: c.trials_simulation_failed,
-            design_cache_requests: c.design_cache_requests,
-            generation_cache_requests: c.generation_cache_requests,
-            partition_cache_requests: c.partition_cache_requests,
-            validate_runs: c.validate_runs,
-            sim_runs: c.sim_runs,
-            sim_windows: c.sim_windows,
-            sim_slices: c.sim_slices,
-            sim_jobs_released: c.sim_jobs_released,
-            sim_jobs_completed: c.sim_jobs_completed,
-            sim_faults_injected: c.sim_faults_injected,
-            sim_events: c.sim_events,
-            sim_idle_spans_jumped: c.sim_idle_spans_jumped,
-            sim_ticks_materialised: c.sim_ticks_materialised,
-        }
-    }
-
-    /// Field-wise sum: the shard-merge operation. Saturating, so it is
-    /// exactly associative and commutative over all of `u64`, with
-    /// [`RunCounters::default`] as the identity.
-    pub fn merged(&self, other: &RunCounters) -> RunCounters {
-        merge_counters!(self, other;
-            trials_started,
-            trials_completed,
-            trials_accepted,
-            trials_generation_failed,
-            trials_partition_failed,
-            trials_design_rejected,
-            trials_simulation_failed,
-            design_cache_requests,
-            generation_cache_requests,
-            partition_cache_requests,
-            validate_runs,
-            sim_runs,
-            sim_windows,
-            sim_slices,
-            sim_jobs_released,
-            sim_jobs_completed,
-            sim_faults_injected,
-            sim_events,
-            sim_idle_spans_jumped,
-            sim_ticks_materialised,
-        )
-    }
-}
-
-/// Hit/miss split of one memo cache (timing half: racing workers may
-/// both miss the same fresh key, so the split is scheduling-dependent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CacheCounts {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that computed (including disabled-cache lookups).
-    pub misses: u64,
-    /// Hits additionally confirmed by a full equality check (the
-    /// partition cache's content-hash collision guard).
-    pub verified_hits: u64,
-}
-
-impl CacheCounts {
-    fn from_snapshot(s: &CacheSnapshot) -> Self {
-        CacheCounts {
-            hits: s.hits,
-            misses: s.misses,
-            verified_hits: s.verified_hits,
-        }
-    }
-
-    fn merged(&self, other: &CacheCounts) -> CacheCounts {
-        CacheCounts {
-            hits: self.hits.saturating_add(other.hits),
-            misses: self.misses.saturating_add(other.misses),
-            verified_hits: self.verified_hits.saturating_add(other.verified_hits),
-        }
-    }
-}
-
-/// Wall-clock distribution of one pipeline stage: a fixed-bin histogram
-/// of power-of-two microsecond buckets (bin `i` covers `[2^i, 2^(i+1))`
-/// µs, first and last bins open-ended).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StageTiming {
-    /// Stage label (`generation`, `partition`, `design`, `validate`).
-    pub stage: String,
-    /// Spans recorded.
-    pub count: u64,
-    /// Total duration in nanoseconds.
-    pub total_nanos: u64,
-    /// Per-bin span counts (power-of-two microsecond buckets).
-    pub bins_micros_log2: Vec<u64>,
-}
-
-impl StageTiming {
-    fn from_histo(stage: &str, h: &HistoSnapshot) -> Self {
-        StageTiming {
-            stage: stage.to_owned(),
-            count: h.count,
-            total_nanos: h.total_nanos,
-            bins_micros_log2: h.bins.clone(),
-        }
-    }
-
-    fn merged(&self, other: &StageTiming) -> StageTiming {
-        let bins = self
-            .bins_micros_log2
-            .iter()
-            .zip(&other.bins_micros_log2)
-            .map(|(a, b)| a.saturating_add(*b))
-            .collect();
-        StageTiming {
-            stage: self.stage.clone(),
-            count: self.count.saturating_add(other.count),
-            total_nanos: self.total_nanos.saturating_add(other.total_nanos),
-            bins_micros_log2: bins,
-        }
-    }
-}
-
-/// The machine-dependent half of a run's metrics. Excluded from every
-/// identity check; merging shards sums the accumulable observations and
-/// concatenates per-worker throughput.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunTimings {
-    /// Wall-clock seconds of the run (summed across merged shards).
-    pub wall_seconds: f64,
-    /// Worker threads the run used (max across merged shards).
-    pub workers: u64,
-    /// Paper design-stage cache hit/miss split.
-    pub design_cache: CacheCounts,
-    /// Synthetic generation cache hit/miss split.
-    pub generation_cache: CacheCounts,
-    /// Synthetic partition cache hit/miss split.
-    pub partition_cache: CacheCounts,
-    /// Design-stage executions (cache misses recompute, so this depends
-    /// on scheduling — unlike `validate_runs`).
-    pub design_stage_runs: u64,
-    /// Fresh minimum-quanta sweeps built.
-    pub sweep_builds: u64,
-    /// Sweeps reused via WCET rescaling instead of a rebuild.
-    pub sweep_rescales: u64,
-    /// Rescales served by the integer quantised fast path.
-    pub sweep_rescales_quantised: u64,
-    /// Rescales served by the sequential f64 fallback fold.
-    pub sweep_rescales_scalar: u64,
-    /// Simulations that allocated a cold arena.
-    pub arena_fresh: u64,
-    /// Simulations that reused a warm arena.
-    pub arena_reused: u64,
-    /// Per-stage wall-clock histograms.
-    pub stages: Vec<StageTiming>,
-    /// Trials executed per worker, one entry per worker.
-    pub worker_trials: Vec<u64>,
-}
-
-impl RunTimings {
-    fn from_snapshot(snapshot: &MetricsSnapshot, workers: u64, wall_seconds: f64) -> Self {
-        let t = &snapshot.timing;
-        RunTimings {
-            wall_seconds,
-            workers,
-            design_cache: CacheCounts::from_snapshot(&t.design_cache),
-            generation_cache: CacheCounts::from_snapshot(&t.generation_cache),
-            partition_cache: CacheCounts::from_snapshot(&t.partition_cache),
-            design_stage_runs: t.design_stage_runs,
-            sweep_builds: t.sweep_builds,
-            sweep_rescales: t.sweep_rescales,
-            sweep_rescales_quantised: t.sweep_rescales_quantised,
-            sweep_rescales_scalar: t.sweep_rescales_scalar,
-            arena_fresh: t.arena_fresh,
-            arena_reused: t.arena_reused,
-            stages: t
-                .spans
-                .iter()
-                .map(|s| StageTiming::from_histo(s.stage.label(), &s.histo))
-                .collect(),
-            worker_trials: t.worker_trials.clone(),
-        }
-    }
-
-    fn merged(&self, other: &RunTimings) -> RunTimings {
-        // Stages merge by label; a label present on one side only is
-        // carried over unchanged (order: self's labels, then other's
-        // extras — in practice both sides carry the fixed stage list).
-        let mut stages: Vec<StageTiming> = self.stages.clone();
-        for theirs in &other.stages {
-            match stages.iter_mut().find(|s| s.stage == theirs.stage) {
-                Some(ours) => *ours = ours.merged(theirs),
-                None => stages.push(theirs.clone()),
-            }
-        }
-        let mut worker_trials = self.worker_trials.clone();
-        worker_trials.extend_from_slice(&other.worker_trials);
-        RunTimings {
-            wall_seconds: self.wall_seconds + other.wall_seconds,
-            workers: self.workers.max(other.workers),
-            design_cache: self.design_cache.merged(&other.design_cache),
-            generation_cache: self.generation_cache.merged(&other.generation_cache),
-            partition_cache: self.partition_cache.merged(&other.partition_cache),
-            design_stage_runs: self
-                .design_stage_runs
-                .saturating_add(other.design_stage_runs),
-            sweep_builds: self.sweep_builds.saturating_add(other.sweep_builds),
-            sweep_rescales: self.sweep_rescales.saturating_add(other.sweep_rescales),
-            sweep_rescales_quantised: self
-                .sweep_rescales_quantised
-                .saturating_add(other.sweep_rescales_quantised),
-            sweep_rescales_scalar: self
-                .sweep_rescales_scalar
-                .saturating_add(other.sweep_rescales_scalar),
-            arena_fresh: self.arena_fresh.saturating_add(other.arena_fresh),
-            arena_reused: self.arena_reused.saturating_add(other.arena_reused),
-            stages,
-            worker_trials,
-        }
-    }
-}
-
-/// One run's complete metrics document (the `--metrics-json` payload).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunMetrics {
-    /// Deterministic event counts — see [`RunCounters`].
-    pub counters: RunCounters,
-    /// Machine-dependent observations — see [`RunTimings`].
-    pub timings: RunTimings,
-}
-
-impl RunMetrics {
-    /// Builds the document from an observation delta (snapshot-after
-    /// minus snapshot-before, via
-    /// [`MetricsSnapshot::since`](ftsched_obs::MetricsSnapshot::since))
-    /// plus the run's wall clock and worker count.
-    pub fn from_snapshot(snapshot: &MetricsSnapshot, workers: u64, wall_seconds: f64) -> Self {
-        RunMetrics {
-            counters: RunCounters::from_snapshot(snapshot),
-            timings: RunTimings::from_snapshot(snapshot, workers, wall_seconds),
-        }
-    }
-
-    /// Merges two runs' metrics: counters sum exactly (so merged shard
-    /// counters reproduce the unsharded run byte for byte); timings
-    /// aggregate lossily (summed wall clock and observations, maximum
-    /// worker count, concatenated per-worker throughput).
-    pub fn merged(&self, other: &RunMetrics) -> RunMetrics {
-        RunMetrics {
-            counters: self.counters.merged(&other.counters),
-            timings: self.timings.merged(&other.timings),
-        }
-    }
-}
+pub use ftsched_obs::{CacheCounts, RunCounters, RunMetrics, RunTimings, StageTiming};
 
 #[cfg(test)]
 mod tests {

@@ -215,33 +215,28 @@ impl WorkerBackend for LocalProcessBackend {
 /// An in-process backend for tests: runs the shard on this process's
 /// executor and writes the same two files a worker process would.
 ///
-/// Shard runs are serialised through a process-global lock so the
-/// before/after snapshots of the global metrics registry attribute
-/// counters to the right shard. Timeouts are not enforced (threads
-/// cannot be killed); tests exercise timeout handling through backend
-/// wrappers instead.
+/// Each shard run owns its metrics recorder, so shards running
+/// concurrently on several worker slots count only their own events.
+/// Timeouts are not enforced (threads cannot be killed); tests exercise
+/// timeout handling through backend wrappers instead.
 #[derive(Debug, Clone)]
 pub struct InProcessBackend {
     /// Executor threads per shard run (`0` = one per core).
     pub threads: usize,
 }
 
-static IN_PROCESS_GATE: Mutex<()> = Mutex::new(());
-
 impl WorkerBackend for InProcessBackend {
     fn run_shard(&self, launch: &ShardLaunch<'_>) -> Result<(), WorkerFailure> {
-        let _gate = IN_PROCESS_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let exec = ExecutorConfig {
             threads: self.threads,
             ..ExecutorConfig::default()
         };
-        let baseline = ftsched_obs::metrics().snapshot();
+        let recorder = ftsched_obs::Recorder::new();
+        let _run = recorder.install();
         let started = Instant::now();
         let report = run_campaign_shard(launch.spec, &exec, Some(launch.shard))
             .map_err(|e| WorkerFailure::Exit(e.to_string()))?;
-        let delta = ftsched_obs::metrics().snapshot().since(&baseline);
-        let metrics = RunMetrics::from_snapshot(
-            &delta,
+        let metrics = recorder.metrics(
             exec.effective_threads() as u64,
             started.elapsed().as_secs_f64(),
         );
@@ -523,7 +518,6 @@ pub fn orchestrate<B: WorkerBackend + ?Sized>(
         ))
     })?;
 
-    let obs = ftsched_obs::metrics();
     let mut state = SupervisorState {
         pending: Vec::new(),
         in_flight: 0,
@@ -547,7 +541,6 @@ pub fn orchestrate<B: WorkerBackend + ?Sized>(
             Ok(checkpoint) => {
                 state.done[index] = Some(checkpoint);
                 state.stats.checkpoints_adopted += 1;
-                obs.orch_checkpoints_adopted.incr();
                 emit(config, OrchestratorEvent::CheckpointAdopted { shard });
             }
             Err(CheckpointError::Missing) => state.pending.push(QueuedTask {
@@ -648,7 +641,6 @@ fn supervise<B: WorkerBackend + ?Sized>(
     state: &Mutex<SupervisorState>,
     wakeup: &Condvar,
 ) {
-    let obs = ftsched_obs::metrics();
     loop {
         // Claim the next ready task (or leave when everything is done).
         let task = {
@@ -663,10 +655,8 @@ fn supervise<B: WorkerBackend + ?Sized>(
                     let task = st.pending.swap_remove(pos);
                     st.in_flight += 1;
                     st.stats.launches += 1;
-                    obs.orch_launches.incr();
                     if task.attempt > 0 && task.last_worker != Some(worker_id) {
                         st.stats.reassignments += 1;
-                        obs.orch_reassignments.incr();
                     }
                     break task;
                 }
@@ -724,7 +714,6 @@ fn supervise<B: WorkerBackend + ?Sized>(
         match result {
             Ok(checkpoint) => {
                 st.stats.checkpoints_written += 1;
-                obs.orch_checkpoints_written.incr();
                 st.done[task.shard.index] = Some(checkpoint);
                 drop(st);
                 emit(
@@ -737,10 +726,7 @@ fn supervise<B: WorkerBackend + ?Sized>(
             }
             Err(failure) => {
                 match &failure {
-                    WorkerFailure::TimedOut(_) => {
-                        st.stats.timeouts += 1;
-                        obs.orch_timeouts.incr();
-                    }
+                    WorkerFailure::TimedOut(_) => st.stats.timeouts += 1,
                     WorkerFailure::Output(_) => st.stats.corrupt_outputs += 1,
                     WorkerFailure::Launch(_) | WorkerFailure::Exit(_) => {
                         st.stats.worker_failures += 1
@@ -749,7 +735,6 @@ fn supervise<B: WorkerBackend + ?Sized>(
                 if task.attempt < config.max_retries {
                     let delay = config.backoff(task.shard, task.attempt);
                     st.stats.retries += 1;
-                    obs.orch_retries.incr();
                     st.pending.push(QueuedTask {
                         shard: task.shard,
                         attempt: task.attempt + 1,

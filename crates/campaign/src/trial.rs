@@ -22,6 +22,7 @@ use ftsched_design::problem::DesignProblem;
 use ftsched_design::region::max_feasible_period_with;
 use ftsched_design::sensitivity::wcet_scaling_margin_with;
 use ftsched_design::DesignSolution;
+use ftsched_obs::Stage;
 use ftsched_platform::FaultSchedule;
 use ftsched_sim::report::OutcomeCounts;
 use ftsched_sim::{SimArena, SimulationReport, SlotSchedule};
@@ -296,23 +297,36 @@ impl TrialCaches {
         // (algorithm, overhead) combination.
         let gen_uses = algorithms * overheads * heuristics;
         let partition_uses = algorithms * overheads;
-        let obs = ftsched_obs::metrics();
         TrialCaches {
-            design: TrialDesignCache::new(enabled).with_stats(&obs.design_cache),
+            design: TrialDesignCache::new(enabled),
             gen: MemoCache::with_limits(
                 enabled && synthetic && gen_uses > 1,
                 gen_uses,
                 SYNTHETIC_CACHE_CAPACITY,
-            )
-            .with_stats(&obs.generation_cache),
+            ),
             partition: MemoCache::with_limits(
                 enabled && synthetic && partition_uses > 1,
                 partition_uses,
                 SYNTHETIC_CACHE_CAPACITY,
-            )
-            .with_stats(&obs.partition_cache),
+            ),
         }
     }
+
+    /// Adds the caches' hit/miss tallies to the current run's metrics.
+    pub(crate) fn record_stats(&self) {
+        ftsched_obs::record(|m| {
+            m.design_cache.add(self.design.stats().snapshot());
+            m.generation_cache.add(self.gen.stats().snapshot());
+            m.partition_cache.add(self.partition.stats().snapshot());
+        });
+    }
+}
+
+/// The `Design` span of a design-only trial: its feasibility check (and
+/// baseline comparison) is its design stage. `DesignAndValidate` trials
+/// time theirs inside `design_stage_with`.
+fn design_only_span(spec: &CampaignSpec) -> Option<ftsched_obs::Span> {
+    matches!(spec.kind, TrialKind::DesignOnly).then(|| ftsched_obs::span(Stage::Design))
 }
 
 /// Computes the deterministic prefix of a Paper-workload trial.
@@ -339,6 +353,7 @@ fn paper_prefix(spec: &CampaignSpec, scenario: &Scenario) -> PaperPrefix {
         .analysis_context()
         .expect("a validated problem always yields a context");
 
+    let design_span = design_only_span(spec);
     let baselines = spec.compare_baselines.then(|| {
         let cmp = compare_schemes_with(&problem, &ctx, &region)
             .expect("compare_schemes is infallible on a validated problem");
@@ -358,6 +373,7 @@ fn paper_prefix(spec: &CampaignSpec, scenario: &Scenario) -> PaperPrefix {
                 Some(b) => b.flexible,
                 None => max_feasible_period_with(&ctx, &region).is_ok(),
             };
+            drop(design_span);
             PaperStage::DesignOnly { feasible }
         }
         TrialKind::DesignAndValidate => {
@@ -462,7 +478,7 @@ fn run_trial_inner(
     if matches!(spec.workload, WorkloadSpec::Paper) {
         // One request per trial — a pure function of the spec, unlike the
         // hit/miss split, which depends on worker interleaving.
-        ftsched_obs::metrics().design_cache_requests.incr();
+        ftsched_obs::record(|m| m.counters.design_cache_requests.incr());
         let key = DesignKey::new(
             scenario.workload_point,
             scenario.algorithm,
@@ -543,9 +559,8 @@ fn run_trial_inner(
         .workload
         .generator_config(scenario.utilization.unwrap_or(1.0))
         .expect("synthetic workloads have generator configs");
-    let obs = ftsched_obs::metrics();
-    obs.generation_cache_requests.incr();
-    let gen_span = obs.time(ftsched_obs::Stage::Generation);
+    ftsched_obs::record(|m| m.counters.generation_cache_requests.incr());
+    let gen_span = ftsched_obs::span(Stage::Generation);
     let tasks: Option<TaskSet> = match caches.filter(|c| c.gen.enabled()) {
         Some(c) => {
             let prefix = c.gen.get_or_compute((scenario.workload_point, trial), || {
@@ -567,8 +582,8 @@ fn run_trial_inner(
     //    task set's content hash). Baselines that ignore the partition
     //    are still evaluated when partitioning fails.
     let heuristic = scenario.partition_heuristic;
-    obs.partition_cache_requests.incr();
-    let partition_span = obs.time(ftsched_obs::Stage::Partition);
+    ftsched_obs::record(|m| m.counters.partition_cache_requests.incr());
+    let partition_span = ftsched_obs::span(Stage::Partition);
     let partition: Option<SystemPartition> = match caches.filter(|c| c.partition.enabled()) {
         Some(c) => {
             let key = PartitionKey {
@@ -580,7 +595,7 @@ fn run_trial_inner(
                 partition: partition_system(&tasks, heuristic).ok(),
             });
             if entry.tasks == tasks {
-                obs.partition_cache.verified_hits.incr();
+                c.partition.stats().verified_hits.incr();
                 entry.partition.clone()
             } else {
                 // 64-bit content-hash collision: recompute rather than
@@ -629,6 +644,7 @@ fn run_trial_inner(
         .analysis_context()
         .expect("a validated problem always yields a context");
 
+    let design_span = design_only_span(spec);
     let baselines = spec.compare_baselines.then(|| {
         let cmp = compare_schemes_with(&problem, &ctx, &region)
             .expect("compare_schemes is infallible on a validated problem");
@@ -648,6 +664,7 @@ fn run_trial_inner(
                 Some(b) => b.flexible,
                 None => max_feasible_period_with(&ctx, &region).is_ok(),
             };
+            drop(design_span);
             let status = if feasible {
                 TrialStatus::Accepted
             } else {

@@ -457,10 +457,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
         Some(FaultAction::Corrupt) | None => {}
     }
-    // Metrics are a delta between snapshots around the run, so nothing
-    // this process did before (spec validation, earlier subprocess work)
-    // leaks into the document.
-    let baseline = ftsched_obs::metrics().snapshot();
+    // The run owns its recorder: the document counts this campaign's
+    // events and nothing else.
+    let recorder = ftsched_obs::Recorder::new();
+    let _run = recorder.install();
     let started = Instant::now();
     let report = match run_campaign_shard(&spec, &exec, shard) {
         Ok(report) => report,
@@ -484,8 +484,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     println!("{}", report.render_table());
 
     if let Some(path) = metrics_json {
-        let delta = ftsched_obs::metrics().snapshot().since(&baseline);
-        let doc = RunMetrics::from_snapshot(&delta, exec.effective_threads() as u64, elapsed);
+        let doc = recorder.metrics(exec.effective_threads() as u64, elapsed);
         if !write_metrics(&doc, path) {
             return ExitCode::FAILURE;
         }
@@ -899,7 +898,6 @@ fn cmd_merge(args: &[String]) -> ExitCode {
                             ui::error(e.to_string());
                             return ExitCode::FAILURE;
                         }
-                        ftsched_obs::metrics().columnar_blocks_merged.incr();
                     }
                     Ok(None) => break,
                     Err(e) => {
@@ -1091,7 +1089,6 @@ fn cmd_convert(args: &[String]) -> ExitCode {
             ))
         }
     };
-    ftsched_obs::metrics().columnar_reports_converted.incr();
 
     match out {
         Some(dest) => {

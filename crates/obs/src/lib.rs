@@ -1,78 +1,87 @@
 //! # ftsched-obs
 //!
-//! Zero-dependency instrumentation for the `ftsched` workspace: atomic
-//! event counters and fixed-bin duration histograms behind one cheap,
-//! process-global [`Metrics`] handle.
+//! Instrumentation for the `ftsched` workspace: atomic event counters
+//! and fixed-bin duration histograms that belong to **one run** — a
+//! campaign, a shard, a bench entry, a test.
 //!
 //! The build environment is offline and the workspace vendors its own
 //! shims, so this crate is hand-rolled in the same spirit instead of
-//! pulling in `tracing`: plain `std` atomics, one `Mutex` for the
-//! per-worker throughput list, nothing else. Every other crate may
-//! depend on it without cycles — it sits below `ftsched-task`.
+//! pulling in `tracing`: plain `std` atomics, a thread-local for the
+//! installed [`Recorder`], and the serde shim for the `--metrics-json`
+//! document. It sits below every other crate in the workspace.
+//!
+//! ## Runs own their counters
+//!
+//! The owner of a run creates a [`Recorder`] and installs it on its
+//! thread for the length of the run. Threads spawned for that run (the
+//! campaign executor's workers, the rayon shim's scoped workers) install
+//! the spawning thread's [`Recorder::current`]. Instrumentation sites
+//! reach the installed recorder through [`record`] and [`span`]; an
+//! event with no recorder installed is dropped. Two runs in one process
+//! therefore never see each other's events, and a recorder's snapshot
+//! *is* its run's metrics — no baselines, no deltas.
 //!
 //! ## The two halves
 //!
 //! Instrumented events fall into two strictly separated classes, and the
 //! split is the whole point of the layer:
 //!
-//! * **Deterministic counters** ([`CounterSnapshot`]) — pure `u64` event
+//! * **Deterministic counters** ([`RunCounters`]) — pure `u64` event
 //!   counts incremented a fixed number of times per campaign trial
 //!   (trials started/completed per status, cache *requests*, simulator
 //!   windows/slices/jobs). Their totals are sums over trials, so they
 //!   are identical at any thread count and add up exactly across
 //!   `--shard` runs: the shard-merged value equals the unsharded value,
 //!   byte for byte. CI compares this half across runs.
-//! * **Timing / scheduling-dependent data** ([`TimingSnapshot`]) —
+//! * **Timing / scheduling-dependent data** ([`RunTimings`]) —
 //!   wall-clock span histograms, cache hit/miss tallies (racing workers
 //!   may compute a key twice; shards keep separate caches), sweep
 //!   build-vs-rescale counts (they run inside cached stages), arena
 //!   reuse and per-worker throughput. Explicitly machine- and
 //!   schedule-dependent, excluded from every identity check.
 //!
-//! Counters are always on — one relaxed `fetch_add` per event, batched
-//! on hot paths — and recording a span costs two monotonic clock reads.
+//! Counters are one relaxed `fetch_add` per event, batched on hot
+//! paths, and recording a span costs two monotonic clock reads.
 //! Emission is what callers opt into: nothing here prints or writes.
 //!
 //! ## Usage
 //!
 //! ```
-//! use ftsched_obs::{metrics, Stage};
+//! use ftsched_obs::{record, span, Recorder, Stage};
 //!
-//! let m = metrics();
-//! m.trials_started.incr();
+//! let recorder = Recorder::new();
 //! {
-//!     let _span = m.time(Stage::Design);
+//!     let _run = recorder.install();
+//!     record(|m| m.counters.trials_started.incr());
+//!     let _design = span(Stage::Design);
 //!     // ... design work ...
 //! }
-//! m.trials_completed.incr();
-//! let snap = m.snapshot();
-//! assert!(snap.counters.trials_completed >= 1);
+//! record(|m| m.counters.trials_started.incr()); // no recorder: dropped
+//! let metrics = recorder.metrics(1, 0.0);
+//! assert_eq!(metrics.counters.trials_started, 1);
+//! assert_eq!(metrics.timings.stages[2].count, 1);
 //! ```
-//!
-//! Consumers that need per-run numbers in a long-lived process (tests,
-//! benches, the CLI around one campaign) take a snapshot before and
-//! after and use [`MetricsSnapshot::since`].
 
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use serde::{Deserialize, Serialize};
 
 /// A monotonically increasing event counter (relaxed atomic `u64`).
 ///
 /// Relaxed ordering is sufficient: counts are only read in aggregate by
-/// [`Metrics::snapshot`], never used for synchronisation, and integer
+/// [`Recorder::metrics`], never used for synchronisation, and integer
 /// addition is commutative, so totals are independent of interleaving.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
     /// Adds `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -99,7 +108,7 @@ impl Counter {
 /// kernels to multi-second campaigns in [`Self::BINS`] slots, and — like
 /// every count here — merge by plain addition.
 #[derive(Debug)]
-pub struct DurationHisto {
+struct DurationHisto {
     bins: [AtomicU64; Self::BINS],
     count: AtomicU64,
     total_nanos: AtomicU64,
@@ -118,10 +127,10 @@ impl Default for DurationHisto {
 impl DurationHisto {
     /// Number of power-of-two microsecond bins: `2^21` µs ≈ 2 s in the
     /// top regular bin, far beyond any single pipeline stage.
-    pub const BINS: usize = 22;
+    const BINS: usize = 22;
 
     /// Records one span.
-    pub fn record(&self, d: Duration) {
+    fn record(&self, d: Duration) {
         let micros = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
         // floor(log2(micros)) via the leading-zero count; sub-µs spans
         // land in bin 0, outliers saturate into the last bin.
@@ -132,31 +141,18 @@ impl DurationHisto {
         self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// The current contents as plain integers.
-    pub fn snapshot(&self) -> HistoSnapshot {
-        HistoSnapshot {
+    /// The current contents, labelled with `stage`.
+    fn timing(&self, stage: Stage) -> StageTiming {
+        StageTiming {
+            stage: stage.label().to_owned(),
             count: self.count.load(Ordering::Relaxed),
             total_nanos: self.total_nanos.load(Ordering::Relaxed),
-            bins: self
+            bins_micros_log2: self
                 .bins
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
         }
-    }
-}
-
-/// An RAII span: records the elapsed wall-clock time into its histogram
-/// when dropped. Created by [`Metrics::time`].
-#[derive(Debug)]
-pub struct Span<'a> {
-    histo: &'a DurationHisto,
-    start: Instant,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.histo.record(self.start.elapsed());
     }
 }
 
@@ -168,7 +164,8 @@ pub enum Stage {
     /// Partitioning a drawn task set onto the mode channels.
     Partition,
     /// The deterministic design stage (region sweep, goal search, slot
-    /// schedule construction).
+    /// schedule construction) or, for design-only trials, the
+    /// feasibility check.
     Design,
     /// The validation stage (discrete-event simulation of the design).
     Validate,
@@ -192,14 +189,31 @@ impl Stage {
             Stage::Validate => "validate",
         }
     }
+}
 
-    fn index(self) -> usize {
-        match self {
-            Stage::Generation => 0,
-            Stage::Partition => 1,
-            Stage::Design => 2,
-            Stage::Validate => 3,
-        }
+/// An RAII span: records the elapsed wall-clock time into the stage
+/// histogram of the recorder installed when it drops. Created by
+/// [`span`].
+#[derive(Debug)]
+pub struct Span {
+    stage: Stage,
+    start: Instant,
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        let elapsed = self.start.elapsed();
+        record(|m| m.spans[self.stage as usize].record(elapsed));
+    }
+}
+
+/// Starts a wall-clock span for `stage`; the elapsed time is recorded
+/// when the returned guard drops.
+#[inline]
+pub fn span(stage: Stage) -> Span {
+    Span {
+        stage,
+        start: Instant::now(),
     }
 }
 
@@ -214,84 +228,131 @@ pub struct CacheStats {
     /// Lookups that had to compute (includes racing double-computes).
     pub misses: Counter,
     /// Hits whose stored payload was additionally verified equal to the
-    /// caller's inputs (the synthetic partition cache's collision check).
+    /// caller's inputs (the content-hash collision check).
     pub verified_hits: Counter,
 }
 
 impl CacheStats {
-    fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
+    /// The current tallies.
+    pub fn snapshot(&self) -> CacheCounts {
+        CacheCounts {
             hits: self.hits.get(),
             misses: self.misses.get(),
             verified_hits: self.verified_hits.get(),
         }
     }
+
+    /// Adds another cache's tallies (a run absorbing the caches it
+    /// owned).
+    pub fn add(&self, counts: CacheCounts) {
+        self.hits.add(counts.hits);
+        self.misses.add(counts.misses);
+        self.verified_hits.add(counts.verified_hits);
+    }
 }
 
-/// The process-global instrumentation registry.
-///
-/// All fields are plain counters or histograms; instrumentation sites
-/// reach them through [`metrics`] and bump them directly. The field
-/// split mirrors the two snapshot halves — see the crate docs for why a
-/// counter lands on one side or the other.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    // ------------------------------------------------------------------
-    // Deterministic half: incremented a fixed number of times per trial.
-    /// Campaign trials started.
-    pub trials_started: Counter,
-    /// Campaign trials completed (any status).
-    pub trials_completed: Counter,
-    /// Trials whose design was accepted.
-    pub trials_accepted: Counter,
-    /// Trials whose workload generation failed.
-    pub trials_generation_failed: Counter,
-    /// Trials whose task set could not be partitioned.
-    pub trials_partition_failed: Counter,
-    /// Trials whose design stage found no feasible period.
-    pub trials_design_rejected: Counter,
-    /// Trials whose validation simulation failed.
-    pub trials_simulation_failed: Counter,
-    /// Lookups *issued* to the paper design cache (one per paper trial
-    /// when caching is enabled — a pure function of the spec, unlike the
-    /// hit/miss split).
-    pub design_cache_requests: Counter,
-    /// Lookups issued to the synthetic generation cache.
-    pub generation_cache_requests: Counter,
-    /// Lookups issued to the synthetic partition cache.
-    pub partition_cache_requests: Counter,
-    /// Validation-stage executions (one per accepted validate trial).
-    pub validate_runs: Counter,
-    /// Simulation runs completed.
-    pub sim_runs: Counter,
-    /// Useful windows the event engine actually walked (idle-jumped
-    /// windows are skipped, not counted).
-    pub sim_windows: Counter,
-    /// Execution slices scheduled across all simulation runs.
-    pub sim_slices: Counter,
-    /// Jobs released inside simulated horizons.
-    pub sim_jobs_released: Counter,
-    /// Jobs completed inside simulated horizons.
-    pub sim_jobs_completed: Counter,
-    /// Faults injected by the simulated fault schedules.
-    pub sim_faults_injected: Counter,
-    /// Events the simulator processed: windows entered, job admissions,
-    /// dispatches and completions.
-    pub sim_events: Counter,
-    /// Idle spans the event engine skipped by jumping two or more
-    /// windows ahead at once.
-    pub sim_idle_spans_jumped: Counter,
-    /// Ticks materialised at tick granularity inside fault windows (the
-    /// overlap spans the fault classifier examined).
-    pub sim_ticks_materialised: Counter,
+/// Declares the deterministic counters once: the live [`Counters`], the
+/// serialisable [`RunCounters`] snapshot (fields in declaration order),
+/// the snapshot itself and the shard-merge sum.
+macro_rules! deterministic_counters {
+    ($($(#[$doc:meta])* $field:ident,)+) => {
+        /// The deterministic half of a run's registry, live: bumped by
+        /// the instrumentation sites through [`record`].
+        #[derive(Debug, Default)]
+        pub struct Counters {
+            $($(#[$doc])* pub $field: Counter,)+
+        }
 
-    // ------------------------------------------------------------------
-    // Timing half: scheduling- and machine-dependent.
-    /// Paper design-stage cache hit/miss tallies.
+        /// The deterministic half of a run's metrics: pure event counts,
+        /// byte-identical across thread counts and additive across
+        /// shards. The shard-merge operation ([`RunCounters::merged`])
+        /// is associative and commutative with [`RunCounters::default`]
+        /// as identity (enforced by `tests/property_merge.rs`).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+        pub struct RunCounters {
+            $($(#[$doc])* pub $field: u64,)+
+        }
+
+        impl Counters {
+            /// The current totals.
+            pub fn snapshot(&self) -> RunCounters {
+                RunCounters { $($field: self.$field.get(),)+ }
+            }
+        }
+
+        impl RunCounters {
+            /// Field-wise sum: the shard-merge operation. Saturating, so
+            /// it is exactly associative and commutative over all of
+            /// `u64`, with [`RunCounters::default`] as the identity.
+            pub fn merged(&self, other: &RunCounters) -> RunCounters {
+                RunCounters { $($field: self.$field.saturating_add(other.$field),)+ }
+            }
+        }
+    };
+}
+
+deterministic_counters! {
+    /// Trials the executor started.
+    trials_started,
+    /// Trials that ran to a status.
+    trials_completed,
+    /// Trials accepted by the design (and, where applicable, validation)
+    /// stage.
+    trials_accepted,
+    /// Trials whose workload generation failed.
+    trials_generation_failed,
+    /// Trials with no valid partition.
+    trials_partition_failed,
+    /// Trials whose feasible-period region was empty.
+    trials_design_rejected,
+    /// Trials rejected by the simulator (consistency backstop).
+    trials_simulation_failed,
+    /// Design-stage lookups (one per paper-workload trial).
+    design_cache_requests,
+    /// Generation-stage lookups (one per synthetic trial).
+    generation_cache_requests,
+    /// Partition-stage lookups (one per generated task set).
+    partition_cache_requests,
+    /// Validation-stage executions (never cached).
+    validate_runs,
+    /// Complete simulator runs.
+    sim_runs,
+    /// Slot windows walked by the simulator (idle-jumped windows are
+    /// skipped, not counted).
+    sim_windows,
+    /// Execution slices scheduled.
+    sim_slices,
+    /// Jobs released inside simulation horizons.
+    sim_jobs_released,
+    /// Jobs completed inside simulation horizons.
+    sim_jobs_completed,
+    /// Faults injected across all fault schedules.
+    sim_faults_injected,
+    /// Simulator events processed (windows walked, job admissions,
+    /// dispatches, completions).
+    sim_events,
+    /// Idle spans the event engine skipped by jumping ≥ 2 windows at
+    /// once.
+    sim_idle_spans_jumped,
+    /// Ticks materialised inside fault windows by the fault classifier.
+    sim_ticks_materialised,
+}
+
+/// One run's live registry: what a [`Recorder`] owns and [`record`]
+/// hands to instrumentation sites. The field split mirrors the two
+/// halves of [`RunMetrics`] — see the crate docs for why a counter lands
+/// on one side or the other.
+#[derive(Debug, Default)]
+pub struct Registry {
+    /// Deterministic half: incremented a fixed number of times per
+    /// trial.
+    pub counters: Counters,
+    /// Paper design-stage cache tallies (absorbed from the run's cache
+    /// when the run ends).
     pub design_cache: CacheStats,
-    /// Synthetic generation cache hit/miss tallies.
+    /// Synthetic generation cache tallies.
     pub generation_cache: CacheStats,
-    /// Synthetic partition cache hit/miss tallies.
+    /// Synthetic partition cache tallies.
     pub partition_cache: CacheStats,
     /// Design-stage executions (cache misses recompute, so this is
     /// scheduling-dependent — unlike `validate_runs`).
@@ -302,8 +363,6 @@ pub struct Metrics {
     pub sweep_rescales: Counter,
     /// Rescales served by the integer quantised fast path (all scaled
     /// WCETs exactly representable on a shared power-of-two grid).
-    /// Timing half: rescales happen inside cached design stages, so the
-    /// count depends on scheduling.
     pub sweep_rescales_quantised: Counter,
     /// Rescales served by the sequential f64 fallback fold.
     pub sweep_rescales_scalar: Counter,
@@ -311,56 +370,11 @@ pub struct Metrics {
     pub arena_fresh: Counter,
     /// Simulation runs that reused a warm arena's buffers.
     pub arena_reused: Counter,
-    /// Orchestrator: shard worker launches (first attempts and retries).
-    pub orch_launches: Counter,
-    /// Orchestrator: shard attempts re-queued after a worker failure.
-    pub orch_retries: Counter,
-    /// Orchestrator: retried shards picked up by a different worker slot
-    /// than the one that last ran them.
-    pub orch_reassignments: Counter,
-    /// Orchestrator: shard attempts killed by the per-shard timeout.
-    pub orch_timeouts: Counter,
-    /// Orchestrator: shard checkpoints written after a successful run.
-    pub orch_checkpoints_written: Counter,
-    /// Orchestrator: completed checkpoints adopted on resume instead of
-    /// re-running their shard.
-    pub orch_checkpoints_adopted: Counter,
-    /// Admission-service decision cache hit/miss tallies
-    /// (`ftsched serve`; keyed on task-set content hash × goal ×
-    /// overhead bits).
-    pub serve_admission_cache: CacheStats,
-    /// Admission-service hot `AnalysisContext` cache tallies (shared
-    /// across goals for one platform configuration).
-    pub serve_context_cache: CacheStats,
-    /// Columnar report format: scenario column blocks written by the
-    /// streaming writer.
-    pub columnar_blocks_written: Counter,
-    /// Columnar report format: scenario column blocks folded by the
-    /// streaming merge.
-    pub columnar_blocks_merged: Counter,
-    /// Reports routed through `ftsched convert` (any direction).
-    pub columnar_reports_converted: Counter,
-
     spans: [DurationHisto; 4],
     worker_trials: Mutex<Vec<u64>>,
 }
 
-impl Metrics {
-    /// The span histogram of one stage.
-    pub fn span_histo(&self, stage: Stage) -> &DurationHisto {
-        &self.spans[stage.index()]
-    }
-
-    /// Starts a wall-clock span for `stage`; the elapsed time is
-    /// recorded when the returned guard drops.
-    #[inline]
-    pub fn time(&self, stage: Stage) -> Span<'_> {
-        Span {
-            histo: self.span_histo(stage),
-            start: Instant::now(),
-        }
-    }
-
+impl Registry {
     /// Records that one campaign worker processed `trials` trials (the
     /// per-worker throughput list of the timing half).
     pub fn record_worker_trials(&self, trials: u64) {
@@ -369,64 +383,76 @@ impl Metrics {
             .expect("worker list poisoned")
             .push(trials);
     }
+}
 
-    /// A consistent-enough point-in-time copy of everything. (Individual
-    /// loads are relaxed; callers snapshot at quiescent points — before
-    /// and after a run — where no instrumented work is in flight.)
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: CounterSnapshot {
-                trials_started: self.trials_started.get(),
-                trials_completed: self.trials_completed.get(),
-                trials_accepted: self.trials_accepted.get(),
-                trials_generation_failed: self.trials_generation_failed.get(),
-                trials_partition_failed: self.trials_partition_failed.get(),
-                trials_design_rejected: self.trials_design_rejected.get(),
-                trials_simulation_failed: self.trials_simulation_failed.get(),
-                design_cache_requests: self.design_cache_requests.get(),
-                generation_cache_requests: self.generation_cache_requests.get(),
-                partition_cache_requests: self.partition_cache_requests.get(),
-                validate_runs: self.validate_runs.get(),
-                sim_runs: self.sim_runs.get(),
-                sim_windows: self.sim_windows.get(),
-                sim_slices: self.sim_slices.get(),
-                sim_jobs_released: self.sim_jobs_released.get(),
-                sim_jobs_completed: self.sim_jobs_completed.get(),
-                sim_faults_injected: self.sim_faults_injected.get(),
-                sim_events: self.sim_events.get(),
-                sim_idle_spans_jumped: self.sim_idle_spans_jumped.get(),
-                sim_ticks_materialised: self.sim_ticks_materialised.get(),
-            },
-            timing: TimingSnapshot {
-                design_cache: self.design_cache.snapshot(),
-                generation_cache: self.generation_cache.snapshot(),
-                partition_cache: self.partition_cache.snapshot(),
-                design_stage_runs: self.design_stage_runs.get(),
-                sweep_builds: self.sweep_builds.get(),
-                sweep_rescales: self.sweep_rescales.get(),
-                sweep_rescales_quantised: self.sweep_rescales_quantised.get(),
-                sweep_rescales_scalar: self.sweep_rescales_scalar.get(),
-                arena_fresh: self.arena_fresh.get(),
-                arena_reused: self.arena_reused.get(),
-                orch_launches: self.orch_launches.get(),
-                orch_retries: self.orch_retries.get(),
-                orch_reassignments: self.orch_reassignments.get(),
-                orch_timeouts: self.orch_timeouts.get(),
-                orch_checkpoints_written: self.orch_checkpoints_written.get(),
-                orch_checkpoints_adopted: self.orch_checkpoints_adopted.get(),
-                serve_admission_cache: self.serve_admission_cache.snapshot(),
-                serve_context_cache: self.serve_context_cache.snapshot(),
-                columnar_blocks_written: self.columnar_blocks_written.get(),
-                columnar_blocks_merged: self.columnar_blocks_merged.get(),
-                columnar_reports_converted: self.columnar_reports_converted.get(),
-                spans: Stage::ALL
+thread_local! {
+    static CURRENT: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+}
+
+/// Hands the registry of the recorder installed on this thread to `f`;
+/// without one (or while the thread is being torn down), the event is
+/// dropped and `f` never runs.
+#[inline]
+pub fn record(f: impl FnOnce(&Registry)) {
+    let _ = CURRENT.try_with(|current| {
+        if let Some(recorder) = current.borrow().as_ref() {
+            f(recorder);
+        }
+    });
+}
+
+/// The metrics of one run. Clones share one registry, so a clone handed
+/// to a worker thread records into the same run.
+#[derive(Debug, Clone, Default)]
+pub struct Recorder(Arc<Registry>);
+
+impl Recorder {
+    /// A recorder with every count at zero.
+    pub fn new() -> Self {
+        Recorder::default()
+    }
+
+    /// The recorder installed on this thread, if any — what a thread
+    /// that spawns workers for its run passes on to them.
+    pub fn current() -> Option<Recorder> {
+        CURRENT.with(|current| current.borrow().clone())
+    }
+
+    /// Installs this recorder on the calling thread until the returned
+    /// guard drops, which restores whatever was installed before.
+    #[must_use = "the recorder is uninstalled as soon as the guard drops"]
+    pub fn install(&self) -> Installed {
+        let previous = CURRENT.with(|current| current.replace(Some(self.clone())));
+        Installed {
+            previous,
+            _thread_bound: PhantomData,
+        }
+    }
+
+    /// The run's metrics document. `workers` and `wall_seconds` are
+    /// facts of the run its owner measured, not events.
+    pub fn metrics(&self, workers: u64, wall_seconds: f64) -> RunMetrics {
+        let m = &self.0;
+        RunMetrics {
+            counters: m.counters.snapshot(),
+            timings: RunTimings {
+                wall_seconds,
+                workers,
+                design_cache: m.design_cache.snapshot(),
+                generation_cache: m.generation_cache.snapshot(),
+                partition_cache: m.partition_cache.snapshot(),
+                design_stage_runs: m.design_stage_runs.get(),
+                sweep_builds: m.sweep_builds.get(),
+                sweep_rescales: m.sweep_rescales.get(),
+                sweep_rescales_quantised: m.sweep_rescales_quantised.get(),
+                sweep_rescales_scalar: m.sweep_rescales_scalar.get(),
+                arena_fresh: m.arena_fresh.get(),
+                arena_reused: m.arena_reused.get(),
+                stages: Stage::ALL
                     .iter()
-                    .map(|&s| StageSpan {
-                        stage: s,
-                        histo: self.span_histo(s).snapshot(),
-                    })
+                    .map(|&s| m.spans[s as usize].timing(s))
                     .collect(),
-                worker_trials: self
+                worker_trials: m
                     .worker_trials
                     .lock()
                     .expect("worker list poisoned")
@@ -436,314 +462,179 @@ impl Metrics {
     }
 }
 
-/// The process-global [`Metrics`] registry.
-pub fn metrics() -> &'static Metrics {
-    static METRICS: OnceLock<Metrics> = OnceLock::new();
-    METRICS.get_or_init(Metrics::default)
-}
+impl Deref for Recorder {
+    type Target = Registry;
 
-/// Point-in-time values of the deterministic counters. All fields are
-/// pure per-trial event counts: byte-identical at any thread count and
-/// exactly additive across shards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// Campaign trials started.
-    pub trials_started: u64,
-    /// Campaign trials completed (any status).
-    pub trials_completed: u64,
-    /// Trials whose design was accepted.
-    pub trials_accepted: u64,
-    /// Trials whose workload generation failed.
-    pub trials_generation_failed: u64,
-    /// Trials whose task set could not be partitioned.
-    pub trials_partition_failed: u64,
-    /// Trials whose design stage found no feasible period.
-    pub trials_design_rejected: u64,
-    /// Trials whose validation simulation failed.
-    pub trials_simulation_failed: u64,
-    /// Lookups issued to the paper design cache.
-    pub design_cache_requests: u64,
-    /// Lookups issued to the synthetic generation cache.
-    pub generation_cache_requests: u64,
-    /// Lookups issued to the synthetic partition cache.
-    pub partition_cache_requests: u64,
-    /// Validation-stage executions.
-    pub validate_runs: u64,
-    /// Simulation runs completed.
-    pub sim_runs: u64,
-    /// Useful windows walked by the event engine.
-    pub sim_windows: u64,
-    /// Execution slices scheduled.
-    pub sim_slices: u64,
-    /// Jobs released inside simulated horizons.
-    pub sim_jobs_released: u64,
-    /// Jobs completed inside simulated horizons.
-    pub sim_jobs_completed: u64,
-    /// Faults injected by simulated fault schedules.
-    pub sim_faults_injected: u64,
-    /// Simulator events processed (windows, admissions, dispatches,
-    /// completions).
-    pub sim_events: u64,
-    /// Idle spans skipped by jumping ≥ 2 windows at once.
-    pub sim_idle_spans_jumped: u64,
-    /// Ticks materialised inside fault windows by the classifier.
-    pub sim_ticks_materialised: u64,
-}
-
-impl CounterSnapshot {
-    /// `self − baseline`, per field (saturating, like all arithmetic in
-    /// this crate).
-    pub fn since(&self, baseline: &CounterSnapshot) -> CounterSnapshot {
-        CounterSnapshot {
-            trials_started: self.trials_started.saturating_sub(baseline.trials_started),
-            trials_completed: self
-                .trials_completed
-                .saturating_sub(baseline.trials_completed),
-            trials_accepted: self
-                .trials_accepted
-                .saturating_sub(baseline.trials_accepted),
-            trials_generation_failed: self
-                .trials_generation_failed
-                .saturating_sub(baseline.trials_generation_failed),
-            trials_partition_failed: self
-                .trials_partition_failed
-                .saturating_sub(baseline.trials_partition_failed),
-            trials_design_rejected: self
-                .trials_design_rejected
-                .saturating_sub(baseline.trials_design_rejected),
-            trials_simulation_failed: self
-                .trials_simulation_failed
-                .saturating_sub(baseline.trials_simulation_failed),
-            design_cache_requests: self
-                .design_cache_requests
-                .saturating_sub(baseline.design_cache_requests),
-            generation_cache_requests: self
-                .generation_cache_requests
-                .saturating_sub(baseline.generation_cache_requests),
-            partition_cache_requests: self
-                .partition_cache_requests
-                .saturating_sub(baseline.partition_cache_requests),
-            validate_runs: self.validate_runs.saturating_sub(baseline.validate_runs),
-            sim_runs: self.sim_runs.saturating_sub(baseline.sim_runs),
-            sim_windows: self.sim_windows.saturating_sub(baseline.sim_windows),
-            sim_slices: self.sim_slices.saturating_sub(baseline.sim_slices),
-            sim_jobs_released: self
-                .sim_jobs_released
-                .saturating_sub(baseline.sim_jobs_released),
-            sim_jobs_completed: self
-                .sim_jobs_completed
-                .saturating_sub(baseline.sim_jobs_completed),
-            sim_faults_injected: self
-                .sim_faults_injected
-                .saturating_sub(baseline.sim_faults_injected),
-            sim_events: self.sim_events.saturating_sub(baseline.sim_events),
-            sim_idle_spans_jumped: self
-                .sim_idle_spans_jumped
-                .saturating_sub(baseline.sim_idle_spans_jumped),
-            sim_ticks_materialised: self
-                .sim_ticks_materialised
-                .saturating_sub(baseline.sim_ticks_materialised),
-        }
+    fn deref(&self) -> &Registry {
+        &self.0
     }
 }
 
-/// Point-in-time hit/miss tallies of one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// Lookups answered from the cache.
+/// Guard of [`Recorder::install`]: restores the previously installed
+/// recorder when dropped. Bound to the installing thread.
+#[derive(Debug)]
+pub struct Installed {
+    previous: Option<Recorder>,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for Installed {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        let _ = CURRENT.try_with(|current| *current.borrow_mut() = previous);
+    }
+}
+
+/// Hit/miss split of one memo cache (timing half: racing workers may
+/// both miss the same fresh key, so the split is scheduling-dependent).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct CacheCounts {
+    /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that had to compute.
+    /// Lookups that computed (including disabled-cache lookups).
     pub misses: u64,
-    /// Hits additionally verified equal to the caller's inputs.
+    /// Hits additionally confirmed by a full equality check (the
+    /// content-hash collision guard).
     pub verified_hits: u64,
 }
 
-impl CacheSnapshot {
-    fn since(&self, baseline: &CacheSnapshot) -> CacheSnapshot {
-        CacheSnapshot {
-            hits: self.hits.saturating_sub(baseline.hits),
-            misses: self.misses.saturating_sub(baseline.misses),
-            verified_hits: self.verified_hits.saturating_sub(baseline.verified_hits),
+impl CacheCounts {
+    fn merged(&self, other: &CacheCounts) -> CacheCounts {
+        CacheCounts {
+            hits: self.hits.saturating_add(other.hits),
+            misses: self.misses.saturating_add(other.misses),
+            verified_hits: self.verified_hits.saturating_add(other.verified_hits),
         }
     }
 }
 
-/// Point-in-time contents of one duration histogram.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistoSnapshot {
+/// Wall-clock distribution of one pipeline stage: a fixed-bin histogram
+/// of power-of-two microsecond buckets (bin `i` covers `[2^i, 2^(i+1))`
+/// µs, first and last bins open-ended).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StageTiming {
+    /// Stage label (`generation`, `partition`, `design`, `validate`).
+    pub stage: String,
     /// Spans recorded.
     pub count: u64,
-    /// Sum of all span durations, in nanoseconds.
+    /// Total duration in nanoseconds.
     pub total_nanos: u64,
-    /// Per-bin span counts (see [`DurationHisto`] for the bin layout).
-    pub bins: Vec<u64>,
+    /// Per-bin span counts (power-of-two microsecond buckets).
+    pub bins_micros_log2: Vec<u64>,
 }
 
-impl HistoSnapshot {
-    fn since(&self, baseline: &HistoSnapshot) -> HistoSnapshot {
-        HistoSnapshot {
-            count: self.count.saturating_sub(baseline.count),
-            total_nanos: self.total_nanos.saturating_sub(baseline.total_nanos),
-            bins: self
-                .bins
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| b.saturating_sub(baseline.bins.get(i).copied().unwrap_or(0)))
-                .collect(),
+impl StageTiming {
+    fn merged(&self, other: &StageTiming) -> StageTiming {
+        let bins = self
+            .bins_micros_log2
+            .iter()
+            .zip(&other.bins_micros_log2)
+            .map(|(a, b)| a.saturating_add(*b))
+            .collect();
+        StageTiming {
+            stage: self.stage.clone(),
+            count: self.count.saturating_add(other.count),
+            total_nanos: self.total_nanos.saturating_add(other.total_nanos),
+            bins_micros_log2: bins,
         }
     }
 }
 
-/// One stage's span histogram in a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageSpan {
-    /// The stage.
-    pub stage: Stage,
-    /// Its recorded spans.
-    pub histo: HistoSnapshot,
-}
-
-/// Point-in-time values of the timing half.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TimingSnapshot {
-    /// Paper design-stage cache tallies.
-    pub design_cache: CacheSnapshot,
-    /// Synthetic generation cache tallies.
-    pub generation_cache: CacheSnapshot,
-    /// Synthetic partition cache tallies.
-    pub partition_cache: CacheSnapshot,
-    /// Design-stage executions.
+/// The machine-dependent half of a run's metrics. Excluded from every
+/// identity check; merging shards sums the accumulable observations and
+/// concatenates per-worker throughput.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RunTimings {
+    /// Wall-clock seconds of the run (summed across merged shards).
+    pub wall_seconds: f64,
+    /// Worker threads the run used (max across merged shards).
+    pub workers: u64,
+    /// Paper design-stage cache hit/miss split.
+    pub design_cache: CacheCounts,
+    /// Synthetic generation cache hit/miss split.
+    pub generation_cache: CacheCounts,
+    /// Synthetic partition cache hit/miss split.
+    pub partition_cache: CacheCounts,
+    /// Design-stage executions (cache misses recompute, so this depends
+    /// on scheduling — unlike `validate_runs`).
     pub design_stage_runs: u64,
-    /// `MinQSweep` enumerations built from scratch.
+    /// Fresh minimum-quanta sweeps built.
     pub sweep_builds: u64,
-    /// `MinQSweep::rescale_into` reuses.
+    /// Sweeps reused via WCET rescaling instead of a rebuild.
     pub sweep_rescales: u64,
     /// Rescales served by the integer quantised fast path.
     pub sweep_rescales_quantised: u64,
     /// Rescales served by the sequential f64 fallback fold.
     pub sweep_rescales_scalar: u64,
-    /// Simulation runs on a cold arena.
+    /// Simulations that allocated a cold arena.
     pub arena_fresh: u64,
-    /// Simulation runs on a warm arena.
+    /// Simulations that reused a warm arena.
     pub arena_reused: u64,
-    /// Orchestrator: shard worker launches.
-    pub orch_launches: u64,
-    /// Orchestrator: shard attempts re-queued after a failure.
-    pub orch_retries: u64,
-    /// Orchestrator: retried shards picked up by a different worker.
-    pub orch_reassignments: u64,
-    /// Orchestrator: shard attempts killed by the per-shard timeout.
-    pub orch_timeouts: u64,
-    /// Orchestrator: checkpoints written.
-    pub orch_checkpoints_written: u64,
-    /// Orchestrator: checkpoints adopted on resume.
-    pub orch_checkpoints_adopted: u64,
-    /// Admission-service decision cache tallies (`ftsched serve`).
-    pub serve_admission_cache: CacheSnapshot,
-    /// Admission-service hot-context cache tallies (`ftsched serve`).
-    pub serve_context_cache: CacheSnapshot,
-    /// Columnar report blocks written by the streaming writer.
-    pub columnar_blocks_written: u64,
-    /// Columnar report blocks folded by the streaming merge.
-    pub columnar_blocks_merged: u64,
-    /// Reports routed through `ftsched convert`.
-    pub columnar_reports_converted: u64,
-    /// Per-stage wall-clock span histograms, in [`Stage::ALL`] order.
-    pub spans: Vec<StageSpan>,
-    /// Trials processed per campaign worker, in completion order.
+    /// Per-stage wall-clock histograms.
+    pub stages: Vec<StageTiming>,
+    /// Trials executed per worker, one entry per worker.
     pub worker_trials: Vec<u64>,
 }
 
-impl TimingSnapshot {
-    fn since(&self, baseline: &TimingSnapshot) -> TimingSnapshot {
-        TimingSnapshot {
-            design_cache: self.design_cache.since(&baseline.design_cache),
-            generation_cache: self.generation_cache.since(&baseline.generation_cache),
-            partition_cache: self.partition_cache.since(&baseline.partition_cache),
+impl RunTimings {
+    /// Lossy shard merge: sums, maximum worker count, concatenated
+    /// per-worker throughput.
+    pub fn merged(&self, other: &RunTimings) -> RunTimings {
+        // Stages merge by label; a label present on one side only is
+        // carried over unchanged (order: self's labels, then other's
+        // extras — in practice both sides carry the fixed stage list).
+        let mut stages: Vec<StageTiming> = self.stages.clone();
+        for theirs in &other.stages {
+            match stages.iter_mut().find(|s| s.stage == theirs.stage) {
+                Some(ours) => *ours = ours.merged(theirs),
+                None => stages.push(theirs.clone()),
+            }
+        }
+        let mut worker_trials = self.worker_trials.clone();
+        worker_trials.extend_from_slice(&other.worker_trials);
+        RunTimings {
+            wall_seconds: self.wall_seconds + other.wall_seconds,
+            workers: self.workers.max(other.workers),
+            design_cache: self.design_cache.merged(&other.design_cache),
+            generation_cache: self.generation_cache.merged(&other.generation_cache),
+            partition_cache: self.partition_cache.merged(&other.partition_cache),
             design_stage_runs: self
                 .design_stage_runs
-                .saturating_sub(baseline.design_stage_runs),
-            sweep_builds: self.sweep_builds.saturating_sub(baseline.sweep_builds),
-            sweep_rescales: self.sweep_rescales.saturating_sub(baseline.sweep_rescales),
+                .saturating_add(other.design_stage_runs),
+            sweep_builds: self.sweep_builds.saturating_add(other.sweep_builds),
+            sweep_rescales: self.sweep_rescales.saturating_add(other.sweep_rescales),
             sweep_rescales_quantised: self
                 .sweep_rescales_quantised
-                .saturating_sub(baseline.sweep_rescales_quantised),
+                .saturating_add(other.sweep_rescales_quantised),
             sweep_rescales_scalar: self
                 .sweep_rescales_scalar
-                .saturating_sub(baseline.sweep_rescales_scalar),
-            arena_fresh: self.arena_fresh.saturating_sub(baseline.arena_fresh),
-            arena_reused: self.arena_reused.saturating_sub(baseline.arena_reused),
-            orch_launches: self.orch_launches.saturating_sub(baseline.orch_launches),
-            orch_retries: self.orch_retries.saturating_sub(baseline.orch_retries),
-            orch_reassignments: self
-                .orch_reassignments
-                .saturating_sub(baseline.orch_reassignments),
-            orch_timeouts: self.orch_timeouts.saturating_sub(baseline.orch_timeouts),
-            orch_checkpoints_written: self
-                .orch_checkpoints_written
-                .saturating_sub(baseline.orch_checkpoints_written),
-            orch_checkpoints_adopted: self
-                .orch_checkpoints_adopted
-                .saturating_sub(baseline.orch_checkpoints_adopted),
-            serve_admission_cache: self
-                .serve_admission_cache
-                .since(&baseline.serve_admission_cache),
-            serve_context_cache: self
-                .serve_context_cache
-                .since(&baseline.serve_context_cache),
-            columnar_blocks_written: self
-                .columnar_blocks_written
-                .saturating_sub(baseline.columnar_blocks_written),
-            columnar_blocks_merged: self
-                .columnar_blocks_merged
-                .saturating_sub(baseline.columnar_blocks_merged),
-            columnar_reports_converted: self
-                .columnar_reports_converted
-                .saturating_sub(baseline.columnar_reports_converted),
-            spans: self
-                .spans
-                .iter()
-                .map(|s| {
-                    let base = baseline
-                        .spans
-                        .iter()
-                        .find(|b| b.stage == s.stage)
-                        .map(|b| b.histo.clone())
-                        .unwrap_or_default();
-                    StageSpan {
-                        stage: s.stage,
-                        histo: s.histo.since(&base),
-                    }
-                })
-                .collect(),
-            // The worker list only grows; the delta is the new suffix.
-            worker_trials: self
-                .worker_trials
-                .get(baseline.worker_trials.len()..)
-                .unwrap_or_default()
-                .to_vec(),
+                .saturating_add(other.sweep_rescales_scalar),
+            arena_fresh: self.arena_fresh.saturating_add(other.arena_fresh),
+            arena_reused: self.arena_reused.saturating_add(other.arena_reused),
+            stages,
+            worker_trials,
         }
     }
 }
 
-/// A point-in-time copy of the whole registry: the deterministic half
-/// and the timing half, kept strictly apart.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Deterministic per-trial event counts.
-    pub counters: CounterSnapshot,
-    /// Machine- and scheduling-dependent data.
-    pub timing: TimingSnapshot,
+/// One run's complete metrics document (the `--metrics-json` payload).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RunMetrics {
+    /// Deterministic event counts — see [`RunCounters`].
+    pub counters: RunCounters,
+    /// Machine-dependent observations — see [`RunTimings`].
+    pub timings: RunTimings,
 }
 
-impl MetricsSnapshot {
-    /// The events recorded between `baseline` and `self` — how a
-    /// long-lived process (tests, benches, the CLI) attributes global
-    /// counters to one run.
-    pub fn since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.since(&baseline.counters),
-            timing: self.timing.since(&baseline.timing),
+impl RunMetrics {
+    /// Merges two runs' metrics: counters sum exactly (so merged shard
+    /// counters reproduce the unsharded run byte for byte); timings
+    /// aggregate lossily (summed wall clock and observations, maximum
+    /// worker count, concatenated per-worker throughput).
+    pub fn merged(&self, other: &RunMetrics) -> RunMetrics {
+        RunMetrics {
+            counters: self.counters.merged(&other.counters),
+            timings: self.timings.merged(&other.timings),
         }
     }
 }
@@ -753,21 +644,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_delta() {
-        let m = Metrics::default();
-        m.trials_started.add(3);
-        m.trials_started.incr();
-        assert_eq!(m.trials_started.get(), 4);
-        let before = m.snapshot();
-        m.trials_started.add(5);
-        m.sim_runs.add(2);
-        let delta = m.snapshot().since(&before);
-        assert_eq!(delta.counters.trials_started, 5);
-        assert_eq!(delta.counters.sim_runs, 2);
-        assert_eq!(delta.counters.trials_completed, 0);
-    }
-
-    #[test]
     fn histogram_bins_are_power_of_two_micros() {
         let h = DurationHisto::default();
         h.record(Duration::from_nanos(10)); // sub-µs → bin 0
@@ -775,65 +651,96 @@ mod tests {
         h.record(Duration::from_micros(3)); // bin 1
         h.record(Duration::from_micros(100)); // bin 6 (64..128 µs)
         h.record(Duration::from_secs(60)); // saturates into last bin
-        let s = h.snapshot();
+        let s = h.timing(Stage::Design);
+        assert_eq!(s.stage, "design");
         assert_eq!(s.count, 5);
-        assert_eq!(s.bins[0], 2);
-        assert_eq!(s.bins[1], 1);
-        assert_eq!(s.bins[6], 1);
-        assert_eq!(s.bins[DurationHisto::BINS - 1], 1);
-        assert_eq!(s.bins.iter().sum::<u64>(), 5);
+        assert_eq!(s.bins_micros_log2[0], 2);
+        assert_eq!(s.bins_micros_log2[1], 1);
+        assert_eq!(s.bins_micros_log2[6], 1);
+        assert_eq!(s.bins_micros_log2[DurationHisto::BINS - 1], 1);
+        assert_eq!(s.bins_micros_log2.iter().sum::<u64>(), 5);
         assert!(s.total_nanos >= 60_000_000_000);
     }
 
     #[test]
     fn spans_record_on_drop() {
-        let m = Metrics::default();
+        let recorder = Recorder::new();
         {
-            let _s = m.time(Stage::Design);
+            let _run = recorder.install();
+            drop(span(Stage::Design));
+            drop(span(Stage::Validate));
         }
-        {
-            let _s = m.time(Stage::Validate);
-        }
-        let snap = m.snapshot();
-        let design = &snap.timing.spans[Stage::Design.index()];
-        assert_eq!(design.stage, Stage::Design);
-        assert_eq!(design.histo.count, 1);
-        assert_eq!(snap.timing.spans[Stage::Validate.index()].histo.count, 1);
-        assert_eq!(snap.timing.spans[Stage::Generation.index()].histo.count, 0);
-    }
-
-    #[test]
-    fn worker_trials_delta_is_the_new_suffix() {
-        let m = Metrics::default();
-        m.record_worker_trials(10);
-        let before = m.snapshot();
-        m.record_worker_trials(20);
-        m.record_worker_trials(30);
-        let delta = m.snapshot().since(&before);
-        assert_eq!(delta.timing.worker_trials, vec![20, 30]);
+        let stages = recorder.metrics(1, 0.0).timings.stages;
+        let count = |label: &str| stages.iter().find(|s| s.stage == label).unwrap().count;
+        assert_eq!(count("design"), 1);
+        assert_eq!(count("validate"), 1);
+        assert_eq!(count("generation"), 0);
     }
 
     #[test]
     fn cache_stats_split_verified_hits() {
-        let m = Metrics::default();
-        m.partition_cache.hits.incr();
-        m.partition_cache.verified_hits.incr();
-        m.partition_cache.misses.add(2);
-        let snap = m.snapshot();
-        assert_eq!(
-            snap.timing.partition_cache,
-            CacheSnapshot {
-                hits: 1,
-                misses: 2,
-                verified_hits: 1
-            }
-        );
+        let stats = CacheStats::default();
+        stats.hits.incr();
+        stats.verified_hits.incr();
+        stats.misses.add(2);
+        let expected = CacheCounts {
+            hits: 1,
+            misses: 2,
+            verified_hits: 1,
+        };
+        assert_eq!(stats.snapshot(), expected);
+        let recorder = Recorder::new();
+        recorder.partition_cache.add(stats.snapshot());
+        assert_eq!(recorder.metrics(1, 0.0).timings.partition_cache, expected);
     }
 
     #[test]
-    fn global_handle_is_stable() {
-        let a = metrics() as *const Metrics;
-        let b = metrics() as *const Metrics;
-        assert_eq!(a, b);
+    fn events_outside_any_installed_recorder_are_invisible() {
+        let recorder = Recorder::new();
+        record(|m| m.counters.sim_runs.incr());
+        drop(span(Stage::Design));
+        {
+            let _run = recorder.install();
+            record(|m| m.counters.sim_runs.add(2));
+        }
+        record(|m| m.counters.sim_runs.incr());
+        let metrics = recorder.metrics(1, 0.0);
+        assert_eq!(metrics.counters.sim_runs, 2);
+        assert!(metrics.timings.stages.iter().all(|s| s.count == 0));
+        assert!(Recorder::current().is_none());
+    }
+
+    #[test]
+    fn scoped_worker_threads_inherit_the_recorder() {
+        let recorder = Recorder::new();
+        let _run = recorder.install();
+        let inherited = Recorder::current();
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    let _run = inherited.as_ref().map(Recorder::install);
+                    record(|m| m.counters.trials_started.incr());
+                    record(|m| m.record_worker_trials(5));
+                });
+            }
+        });
+        let metrics = recorder.metrics(3, 0.0);
+        assert_eq!(metrics.counters.trials_started, 3);
+        assert_eq!(metrics.timings.worker_trials, vec![5, 5, 5]);
+    }
+
+    #[test]
+    fn nested_install_restores_the_outer_recorder_on_drop() {
+        let outer = Recorder::new();
+        let inner = Recorder::new();
+        let _outer = outer.install();
+        record(|m| m.sweep_builds.incr());
+        {
+            let _inner = inner.install();
+            record(|m| m.sweep_builds.add(10));
+        }
+        record(|m| m.sweep_builds.incr());
+        assert_eq!(outer.sweep_builds.get(), 2);
+        assert_eq!(inner.sweep_builds.get(), 10);
     }
 }

@@ -1,8 +1,8 @@
 //! The admission engine: the paper's design stage behind hot caches.
 //!
-//! Two memo tables (both [`ftsched_campaign::cache::MemoCache`], both
-//! reporting into the `ftsched_obs` timing half) sit between a request
-//! and the feasible-period search:
+//! Two memo tables (both [`ftsched_campaign::cache::MemoCache`], each
+//! keeping its own hit/miss tallies) sit between a request and the
+//! feasible-period search:
 //!
 //! * the **admission cache** memoises whole decisions, keyed by
 //!   [`AdmissionKey`] — the task set's content hash crossed with every
@@ -227,22 +227,14 @@ pub struct AdmissionEngine {
     admitted: AtomicU64,
     rejected: AtomicU64,
     errors: AtomicU64,
-    /// Obs baseline at engine creation: cache stats are process-global,
-    /// the summary reports this engine's delta.
-    obs_baseline: ftsched_obs::MetricsSnapshot,
 }
 
 impl AdmissionEngine {
-    /// Builds an engine; cache hit/miss tallies route into the
-    /// process-global `ftsched_obs` registry
-    /// (`serve_admission_cache` / `serve_context_cache`).
+    /// Builds an engine with empty caches.
     pub fn new(config: EngineConfig) -> Self {
-        let obs = ftsched_obs::metrics();
         AdmissionEngine {
-            admission: MemoCache::with_limits(config.cache, 0, config.cache_capacity)
-                .with_stats(&obs.serve_admission_cache),
-            contexts: MemoCache::with_limits(config.cache, 0, config.cache_capacity)
-                .with_stats(&obs.serve_context_cache),
+            admission: MemoCache::with_limits(config.cache, 0, config.cache_capacity),
+            contexts: MemoCache::with_limits(config.cache, 0, config.cache_capacity),
             latency: Mutex::new(LatencyCurve::new(LatencyCurveSpec {
                 bin_width: config.latency_bin_us,
                 bins: config.latency_bins,
@@ -252,7 +244,6 @@ impl AdmissionEngine {
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            obs_baseline: obs.snapshot(),
         }
     }
 
@@ -307,7 +298,8 @@ impl AdmissionEngine {
         // overflow bin; clamp to the histogram span so summaries stay
         // finite (and JSON-serialisable).
         let q = |p: f64| latency.histogram.quantile(p).min(self.latency_span);
-        let obs = ftsched_obs::metrics().snapshot().since(&self.obs_baseline);
+        let admission = self.admission.stats().snapshot();
+        let contexts = self.contexts.stats().snapshot();
         ServeSummary {
             requests: self.requests.load(Ordering::Relaxed),
             admitted: self.admitted.load(Ordering::Relaxed),
@@ -317,10 +309,10 @@ impl AdmissionEngine {
             latency_p50_us: q(0.50),
             latency_p95_us: q(0.95),
             latency_p99_us: q(0.99),
-            admission_cache_hits: obs.timing.serve_admission_cache.hits,
-            admission_cache_misses: obs.timing.serve_admission_cache.misses,
-            context_cache_hits: obs.timing.serve_context_cache.hits,
-            context_cache_misses: obs.timing.serve_context_cache.misses,
+            admission_cache_hits: admission.hits,
+            admission_cache_misses: admission.misses,
+            context_cache_hits: contexts.hits,
+            context_cache_misses: contexts.misses,
         }
     }
 
@@ -345,10 +337,6 @@ impl AdmissionEngine {
             verdict: self.compute_verdict(request, &tasks),
         });
         if entry.tasks == tasks {
-            ftsched_obs::metrics()
-                .serve_admission_cache
-                .verified_hits
-                .incr();
             entry.verdict.clone()
         } else {
             // 64-bit content-hash collision: recompute rather than trust
@@ -365,10 +353,6 @@ impl AdmissionEngine {
         });
         let fallback;
         let prepared = if entry.tasks == *tasks {
-            ftsched_obs::metrics()
-                .serve_context_cache
-                .verified_hits
-                .incr();
             &entry.prepared
         } else {
             fallback = prepare(tasks, request);
@@ -473,6 +457,22 @@ mod tests {
             // leave the paper set with no admissible overhead at all.
             heuristic: PartitionHeuristic::WorstFitDecreasing,
         }
+    }
+
+    #[test]
+    fn interleaved_engines_report_only_their_own_cache_traffic() {
+        let a = AdmissionEngine::new(EngineConfig::default());
+        let b = AdmissionEngine::new(EngineConfig::default());
+        let request = paper_request(1, DesignGoal::MinimizeOverheadBandwidth, 0.05);
+        a.admit(&request);
+        b.admit(&request);
+        a.admit(&request);
+        a.admit(&request);
+        let (a, b) = (a.summary(), b.summary());
+        assert_eq!((a.admission_cache_hits, a.admission_cache_misses), (2, 1));
+        assert_eq!((a.context_cache_hits, a.context_cache_misses), (0, 1));
+        assert_eq!((b.admission_cache_hits, b.admission_cache_misses), (0, 1));
+        assert_eq!((b.context_cache_hits, b.context_cache_misses), (0, 1));
     }
 
     #[test]

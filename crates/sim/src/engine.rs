@@ -311,22 +311,24 @@ pub fn simulate_in(
     // them — see `arena_reuse_is_bit_identical_to_fresh_allocation`),
     // while the arena tallies are scheduling-dependent and live in the
     // timing half.
-    let m = ftsched_obs::metrics();
-    m.sim_runs.incr();
-    m.sim_windows.add(windows_walked);
-    m.sim_slices.add(slices_scheduled);
-    m.sim_jobs_released.add(released_jobs);
-    m.sim_jobs_completed.add(completed_jobs);
-    m.sim_faults_injected
-        .add(config.fault_schedule.len() as u64);
-    m.sim_events.add(events_processed);
-    m.sim_idle_spans_jumped.add(idle_jumps);
-    m.sim_ticks_materialised.add(fault_ticks);
-    if arena_warm {
-        m.arena_reused.incr();
-    } else {
-        m.arena_fresh.incr();
-    }
+    ftsched_obs::record(|m| {
+        let c = &m.counters;
+        c.sim_runs.incr();
+        c.sim_windows.add(windows_walked);
+        c.sim_slices.add(slices_scheduled);
+        c.sim_jobs_released.add(released_jobs);
+        c.sim_jobs_completed.add(completed_jobs);
+        c.sim_faults_injected
+            .add(config.fault_schedule.len() as u64);
+        c.sim_events.add(events_processed);
+        c.sim_idle_spans_jumped.add(idle_jumps);
+        c.sim_ticks_materialised.add(fault_ticks);
+        if arena_warm {
+            m.arena_reused.incr();
+        } else {
+            m.arena_fresh.incr();
+        }
+    });
 
     Ok(SimulationReport {
         horizon: config.horizon,

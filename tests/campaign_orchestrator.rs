@@ -123,6 +123,30 @@ fn orchestrated_report_matches_unsharded_run() {
 }
 
 #[test]
+fn concurrent_shard_workers_fold_to_the_unsharded_counters() {
+    let spec = CampaignSpec {
+        kind: TrialKind::DesignAndValidate,
+        ..tiny_spec()
+    };
+    let recorder = ftsched_obs::Recorder::new();
+    {
+        let _run = recorder.install();
+        run_campaign(&spec, &ExecutorConfig::default()).unwrap();
+    }
+    let unsharded = recorder.counters.snapshot();
+    assert!(
+        unsharded.sim_runs > 0,
+        "the spec must exercise the simulator"
+    );
+    let dir = temp_dir("counters");
+    let mut two_workers = config(4, &dir);
+    two_workers.workers = 2;
+    let outcome = orchestrate(&spec, &two_workers, &InProcessBackend { threads: 2 }).unwrap();
+    assert_eq!(outcome.worker_counters, unsharded);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn crashed_shards_are_retried_to_a_byte_identical_report() {
     let spec = tiny_spec();
     let reference = run_campaign(&spec, &ExecutorConfig::default()).unwrap();
